@@ -40,7 +40,7 @@ bench-stream:
 	$(GO) test -short -run '^$$' -bench 'BenchmarkCampaignStreaming' -benchtime 1x ./internal/campaign
 
 # The federation benchmark: one decode through a worker over httptest
-# loopback (JSON + HTTP + client queue) vs the same decode on a local
+# loopback (binary frame + HTTP + client queue) vs the same decode on a local
 # shard — the per-job wire overhead a deployment amortizes by batching.
 bench-remote:
 	$(GO) test -short -run '^$$' -bench 'BenchmarkRemoteShardDecode' -benchtime 100x ./internal/remote
@@ -61,7 +61,7 @@ bench-kernels:
 	@echo "wrote BENCH_kernels.json"
 
 # One -race iteration of every benchmark: catches data races that only
-# the benchmark drivers exercise (burst submits, coalesced senders)
+# the benchmark drivers exercise (burst submits, frame senders)
 # without paying for a timed run.
 bench-smoke:
 	$(GO) test -short -race -run '^$$' -bench . -benchtime 1x ./...

@@ -130,7 +130,7 @@ func TestCampaignHTTPLifecycle(t *testing.T) {
 	// Stats carry campaign gauges and per-shard breakdowns.
 	var st statsResponse
 	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.CampaignsFinished != 1 || st.CampaignsActive != 0 {
+	if st.Campaigns.Finished != 1 || st.Campaigns.Active != 0 {
 		t.Fatalf("campaign gauges = %+v", st)
 	}
 	if len(st.Shards) != 2 {

@@ -35,7 +35,8 @@ type fleet struct {
 	// rejoin) — the server hangs scheme migration off it. It is always
 	// invoked outside f.mu: migration rescans the whole scheme registry,
 	// and holding the membership lock for that long would stall the
-	// workers API and every probe hook behind one migration pass.
+	// workers API and every probe hook behind one migration pass. Probe
+	// goroutines read it from birth, so it is set and read under f.mu.
 	onChange func(reason string)
 
 	mu      sync.Mutex
@@ -64,6 +65,10 @@ func newFleet(addrs []string, cfg fleetConfig) (*fleet, *engine.Cluster) {
 		cfg:     cfg,
 		workers: make(map[string]*remote.Shard, len(addrs)),
 	}
+	// Each client's probe goroutine may fire an eviction hook before the
+	// loop ends; the hooks read workers and cluster under f.mu.
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	shards := make([]engine.Shard, len(addrs))
 	for i, a := range addrs {
 		sh := f.newShard(a)
@@ -110,9 +115,19 @@ func (f *fleet) Close() {
 	f.cluster.Close()
 }
 
+// setOnChange installs the ring-change hook.
+func (f *fleet) setOnChange(fn func(reason string)) {
+	f.mu.Lock()
+	f.onChange = fn
+	f.mu.Unlock()
+}
+
 func (f *fleet) changed(reason string) {
-	if f.onChange != nil {
-		f.onChange(reason)
+	f.mu.Lock()
+	fn := f.onChange
+	f.mu.Unlock()
+	if fn != nil {
+		fn(reason)
 	}
 }
 

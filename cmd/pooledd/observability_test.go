@@ -143,10 +143,10 @@ func TestObservabilityFederatedE2E(t *testing.T) {
 	frontLogs := &logBuffer{}
 	freg := metrics.NewRegistry()
 	flog := slog.New(slog.NewTextHandler(frontLogs, nil))
-	// Batch coalescing stays at its default: the per-job stage accounting
-	// (serialize share, residual network, worker-reported queue/decode)
-	// must hold on the coalesced binary path too — one observation per
-	// stage per job, components consistent with the end-to-end total.
+	// The per-job stage accounting (serialize share, residual network,
+	// worker-reported queue/decode) must hold when frames carry several
+	// jobs — one observation per stage per job, components consistent
+	// with the end-to-end total.
 	sh := remote.New(remote.Options{
 		Addr:          worker.Listener.Addr().String(),
 		ProbeInterval: 25 * time.Millisecond,

@@ -75,6 +75,9 @@ type server struct {
 	nextID  int
 }
 
+// schemeEntry is one registered scheme. Entries are immutable once in
+// the registry: a migration swaps in a new entry under s.mu, and readers
+// take a copy under the lock, so handlers encode without holding it.
 type schemeEntry struct {
 	ID     string `json:"id"`
 	Design string `json:"design"`
@@ -239,14 +242,15 @@ func (s *server) handleCreateScheme(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, ent)
 }
 
-// register assigns (or reuses) the entry for a scheme. Cached schemes are
-// deduplicated by spec so repeated POSTs return the same id.
-func (s *server) register(es *engine.Scheme, design string, n, m int, seed uint64, params engine.DesignParams, adhoc bool) *schemeEntry {
+// register assigns (or reuses) the entry for a scheme and returns a copy
+// of it. Cached schemes are deduplicated by spec so repeated POSTs
+// return the same id.
+func (s *server) register(es *engine.Scheme, design string, n, m int, seed uint64, params engine.DesignParams, adhoc bool) schemeEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !adhoc {
 		if id, ok := s.bySpec[es.Spec]; ok {
-			return s.schemes[id]
+			return *s.schemes[id]
 		}
 	}
 	s.nextID++
@@ -272,14 +276,18 @@ func (s *server) register(es *engine.Scheme, design string, n, m int, seed uint6
 			}
 		}
 	}
-	return ent
+	return *ent
 }
 
-func (s *server) lookup(id string) (*schemeEntry, bool) {
+// lookup returns a copy of the registry entry for id.
+func (s *server) lookup(id string) (schemeEntry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ent, ok := s.schemes[id]
-	return ent, ok
+	if !ok {
+		return schemeEntry{}, false
+	}
+	return *ent, true
 }
 
 func (s *server) handleGetScheme(w http.ResponseWriter, r *http.Request) {
@@ -644,8 +652,6 @@ type statsResponse struct {
 	Schemes           int                             `json:"schemes"`
 	Campaigns         campaignGauges                  `json:"campaigns"`
 	Tenants           map[string]campaign.TenantStats `json:"tenants"`
-	CampaignsActive   int                             `json:"campaigns_active"`
-	CampaignsFinished int                             `json:"campaigns_finished"`
 	UptimeNS          int64                           `json:"uptime_ns"`
 	AvgQueue          float64                         `json:"avg_queue_ms"`
 	AvgDec            float64                         `json:"avg_decode_ms"`
@@ -670,8 +676,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 		// Always a map, even empty, so dashboards can key into it before
 		// the first tenant submits.
-		Tenants:         s.campaigns.Tenants(),
-		CampaignsActive: active, CampaignsFinished: finished,
+		Tenants:  s.campaigns.Tenants(),
 		UptimeNS: int64(time.Since(s.start)),
 	}
 	if cs.Total.JobsCompleted > 0 {
@@ -869,12 +874,8 @@ func (s *server) migrateSchemes(reason string) {
 
 	moved := 0
 	for _, ent := range ents {
-		key := ent.scheme.RouteKey()
-		owner := s.cluster.OwnerID(key)
-		s.mu.Lock()
-		stale := owner != ent.Owner
-		s.mu.Unlock()
-		if !stale {
+		owner := s.cluster.OwnerID(ent.scheme.RouteKey())
+		if owner == ent.Owner {
 			continue
 		}
 		var fresh *engine.Scheme
@@ -883,10 +884,14 @@ func (s *server) migrateSchemes(reason string) {
 		} else {
 			fresh = s.cluster.InstallScheme(ent.scheme.Spec, ent.scheme.G)
 		}
+		next := *ent
+		next.Owner, next.Shard, next.scheme = owner, fresh.Home(), fresh
 		s.mu.Lock()
-		ent.Owner = owner
-		ent.Shard = fresh.Home()
-		ent.scheme = fresh
+		// Swap only if no concurrent migration replaced the entry (or
+		// eviction dropped it) since the scan.
+		if s.schemes[ent.ID] == ent {
+			s.schemes[ent.ID] = &next
+		}
 		s.mu.Unlock()
 		moved++
 	}

@@ -33,7 +33,7 @@ type walSchemeRef struct {
 }
 
 // schemeRefFor serializes a registry entry into the journaled form.
-func (s *server) schemeRefFor(ent *schemeEntry) string {
+func (s *server) schemeRefFor(ent schemeEntry) string {
 	buf, err := json.Marshal(walSchemeRef{
 		Design: ent.Design, N: ent.N, M: ent.M, Seed: ent.Seed,
 		Gamma: ent.Gamma, P: ent.P, D: ent.D, AdHoc: ent.AdHoc,

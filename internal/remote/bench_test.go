@@ -14,10 +14,10 @@ import (
 )
 
 // BenchmarkRemoteShardDecode prices the federation hop: one decode
-// through a worker over httptest loopback (JSON + HTTP + the client
-// queue) against the same decode on a local shard, plus the coalesced
-// variant — a burst of 32 jobs shipped as binary batch frames — whose
-// per-job cost is the wire overhead after amortization. Allocations are
+// through a worker over httptest loopback (a one-job frame + HTTP + the
+// client queue) against the same decode on a local shard, plus bursts
+// of 32 and 64 jobs shipped as multi-job frames, whose per-job cost is
+// the wire overhead after amortization. Allocations are
 // reported so the pooled serialize buffers stay visible in allocs/op.
 func BenchmarkRemoteShardDecode(b *testing.B) {
 	const n, m, k = 2000, 800, 10
@@ -45,7 +45,7 @@ func BenchmarkRemoteShardDecode(b *testing.B) {
 	}
 
 	// One iteration = one burst of concurrent submits settled; compare
-	// local-batchN with remote-batchN for the coalesced-parity number.
+	// local-batchN with remote-batchN for the batched-parity number.
 	runBurst := func(b *testing.B, cluster *engine.Cluster, burst int) {
 		b.Helper()
 		b.ReportAllocs()
@@ -104,7 +104,7 @@ func BenchmarkRemoteShardDecode(b *testing.B) {
 			o := fastOptions(ts.Listener.Addr().String())
 			o.QueueDepth = burst * 2
 			o.MaxBatch = burst
-			// One sender, so the whole burst coalesces into one frame.
+			// One sender, so the burst rides a few multi-job frames.
 			o.Senders = 1
 			sh := New(o)
 			defer sh.Close()

@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
-	"mime"
 	"net/http"
 	"net/url"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -63,13 +62,7 @@ type Options struct {
 	// Retries is how many times a failed request is retried before the
 	// job settles with an error. 0 means 2; negative means none.
 	Retries int
-	// CoalesceWindow is how long a sender waits after picking up a job
-	// to gather queue-mates into one binary batched request — the window
-	// that turns a campaign's fan-out into a handful of frames instead
-	// of hundreds of per-job round trips. 0 means 1ms; negative disables
-	// coalescing (every job rides its own JSON request).
-	CoalesceWindow time.Duration
-	// MaxBatch bounds the jobs coalesced into one batched request.
+	// MaxBatch bounds the jobs a sender packs into one frame.
 	// 0 means 64; the frame format itself caps batches at 1024.
 	MaxBatch int
 	// RetryBackoff is the base delay between retries (grows linearly
@@ -148,16 +141,6 @@ func (o Options) retries() int {
 	return o.Retries
 }
 
-func (o Options) coalesceWindow() time.Duration {
-	if o.CoalesceWindow == 0 {
-		return time.Millisecond
-	}
-	if o.CoalesceWindow < 0 {
-		return 0
-	}
-	return o.CoalesceWindow
-}
-
 func (o Options) maxBatch() int {
 	if o.MaxBatch <= 0 {
 		return 64
@@ -216,6 +199,10 @@ type task struct {
 	fut      *engine.Future
 	settle   func(engine.Result, error)
 	enqueued time.Time
+
+	// attempts counts the retry budget spent so far; only the sender
+	// holding the task touches it.
+	attempts int
 }
 
 // Shard is the client side of the shard protocol: an engine.Shard whose
@@ -263,14 +250,15 @@ type Shard struct {
 	stop      chan struct{}
 	probeDone chan struct{}
 
-	// batchUnsupported latches true the first time the worker proves it
-	// does not speak the binary batch protocol (404/415 from the batch
-	// route, or a 200 whose body is not a batch frame); all later jobs
-	// skip straight to the per-job JSON path.
-	batchUnsupported atomic.Bool
+	// ack is closed, and replaced, each time a frame comes back with jobs
+	// the worker admitted: the worker just freed that many slots. A sender
+	// whose frame the worker refused entirely waits on it before
+	// re-sending.
+	ackMu sync.Mutex
+	ack   chan struct{}
 
-	// bufPool recycles request-body buffers — JSON bodies and binary
-	// frames alike — so steady-state decodes stop allocating per job.
+	// bufPool recycles frame buffers, so steady-state decodes stop
+	// allocating per job.
 	bufPool sync.Pool
 
 	// Transport observability: per-stage request timers and transport
@@ -303,6 +291,7 @@ func New(opts Options) *Shard {
 			IdleConnTimeout:     90 * time.Second,
 		}},
 		jobs:      make(chan *task, opts.queueDepth()),
+		ack:       make(chan struct{}),
 		bufPool:   sync.Pool{New: func() any { return new(bytes.Buffer) }},
 		bySpec:    make(map[engine.Spec]*schemeState),
 		byScheme:  make(map[*engine.Scheme]*schemeState),
@@ -324,7 +313,7 @@ func New(opts Options) *Shard {
 	s.mHealthy = reg.Gauge("pooled_remote_worker_healthy",
 		"1 while the worker's probe state is healthy.", "addr").With(opts.Addr)
 	s.mBatchJobs = reg.Histogram("pooled_remote_batch_jobs",
-		"Jobs coalesced into each binary batched decode request.",
+		"Jobs carried by each binary decode frame.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}, "addr").With(opts.Addr)
 	s.healthy.Store(true)
 	s.mHealthy.Set(1)
@@ -693,75 +682,51 @@ func (s *Shard) unavailableErr(cause error) error {
 	return fmt.Errorf("%w: %s", ErrWorkerUnavailable, s.opts.Addr)
 }
 
-// sender drains the client queue until Close. With coalescing enabled,
-// a sender that picks up a job lingers briefly for queue-mates and
-// ships the group as one binary batched request; lone jobs keep riding
-// the per-job JSON path.
+// sender drains the client queue until Close. Every decode rides a
+// binary frame, a lone job included: the sender takes one job, tops the
+// frame up with whatever else is already queued, and sends it at once.
+// Frames in flight are what let the queue build up, so no timer is
+// needed.
+//
+// Jobs a frame must re-send stay parked with the sender, which takes
+// nothing new from the queue until they have settled. Re-sends are ack
+// clocked: the worker answers a frame only after its admitted jobs have
+// decoded, so the admitted count (credit) is the number of worker slots
+// this sender just freed, and the next frame re-sends at most that many
+// parked jobs, at least one.
 func (s *Shard) sender() {
 	defer s.wg.Done()
-	for t := range s.jobs {
-		if s.opts.coalesceWindow() <= 0 || s.batchUnsupported.Load() {
-			s.process(t)
-			continue
+	var parked []*task
+	credit := 0
+	for {
+		var frame []*task
+		if len(parked) == 0 {
+			t, ok := <-s.jobs
+			if !ok {
+				return
+			}
+			frame = s.fill([]*task{t})
+		} else {
+			n := min(max(credit, 1), len(parked))
+			frame, parked = parked[:n:n], parked[n:]
 		}
-		batch := s.gather(t)
-		if len(batch) == 1 {
-			s.process(batch[0])
-			continue
-		}
-		s.processBatch(batch)
+		var again []*task
+		again, credit = s.sendFrame(frame)
+		parked = append(again, parked...)
 	}
 }
 
-// gather collects queue-mates behind first for up to the coalescing
-// window (or until the batch bound) — the knob that turns a campaign's
-// burst of submits into a handful of frames. A multi-job batch ships
-// the moment the queue runs dry: the window only buys time for a mate
-// when the pickup was a singleton, so batch-heavy workloads never pay
-// the window as idle latency.
-func (s *Shard) gather(first *task) []*task {
-	batch := []*task{first}
-	limit := s.opts.maxBatch()
-	window := s.opts.coalesceWindow()
-	// Straggler grace: once the batch has mates, a dry queue only stays
-	// open this long per arrival — enough to bridge a dispatcher's
-	// back-to-back submits, short enough that a formed batch never
-	// idles a full window.
-	grace := window / 8
-	if grace < 50*time.Microsecond {
-		grace = 50 * time.Microsecond
-	}
-	deadline := time.NewTimer(window)
-	defer deadline.Stop()
-	for len(batch) < limit {
+// fill tops a frame up with the jobs already queued, up to MaxBatch,
+// without waiting for more.
+func (s *Shard) fill(batch []*task) []*task {
+	for len(batch) < s.opts.maxBatch() {
 		select {
 		case t, ok := <-s.jobs:
 			if !ok {
 				return batch
 			}
 			batch = append(batch, t)
-			continue
 		default:
-		}
-		wait := deadline.C
-		var straggler *time.Timer
-		if len(batch) > 1 {
-			straggler = time.NewTimer(grace)
-			wait = straggler.C
-		}
-		select {
-		case t, ok := <-s.jobs:
-			if straggler != nil {
-				straggler.Stop()
-			}
-			if !ok {
-				return batch
-			}
-			batch = append(batch, t)
-		case <-wait:
-			if straggler != nil {
-				straggler.Stop()
-			}
 			return batch
 		}
 	}
@@ -777,69 +742,31 @@ func (s *Shard) getBuf() *bytes.Buffer {
 
 func (s *Shard) putBuf(b *bytes.Buffer) { s.bufPool.Put(b) }
 
-// fallback reroutes batch members through the per-job JSON path, which
-// owns retry, health, and settlement semantics. Decodes are
-// deterministic and idempotent on the worker, so re-running a job whose
-// batched fate is unknown is safe.
-func (s *Shard) fallback(tasks []*task) {
-	for _, t := range tasks {
-		s.process(t)
-	}
-}
-
-// noteBatchUnsupported latches the per-job path for this client's
-// lifetime and logs the downgrade once.
-func (s *Shard) noteBatchUnsupported(status int) {
-	if s.batchUnsupported.CompareAndSwap(false, true) {
-		s.log.Info("worker lacks the binary batch endpoint; using per-job requests", "status", status)
-	}
-}
-
-// processBatch ships a coalesced batch over the binary protocol. Any
-// batch-level abnormality — a worker without the endpoint, a transport
-// failure, an unparseable reply — falls back to the per-job JSON path,
-// and per-job non-OK statuses degrade the same way; only statuses the
-// JSON path treats as terminal settle here.
-func (s *Shard) processBatch(batch []*task) {
+// sendFrame ships one frame and settles each job by its verdict. It
+// returns the jobs to re-send and the credit for the next frame: the
+// jobs the worker admitted, or the whole frame after a frame-level
+// failure.
+func (s *Shard) sendFrame(batch []*task) ([]*task, int) {
 	live := batch[:0]
 	for _, t := range batch {
-		if err := t.ctx.Err(); err != nil {
-			s.jobsCanceled.Add(1)
-			t.settle(engine.Result{Stats: engine.JobStats{QueueWait: time.Since(t.enqueued)}}, err)
+		if t.ctx.Err() != nil {
+			s.cancelTask(t)
 			continue
 		}
 		live = append(live, t)
 	}
-	switch len(live) {
-	case 0:
-		return
-	case 1:
-		s.process(live[0])
-		return
+	if len(live) == 0 {
+		return nil, 0
 	}
 
-	// Install every distinct scheme once; a failure routes the whole
-	// batch to the per-job path, which owns install retries. Batch-mates
-	// with live contexts still want the result, so the install (like the
-	// batched request below) is not tied to any one job's context.
+	// Frame-mates with live contexts still want the result, so installs
+	// (like the request below) are not tied to any one job's context.
 	states := make([]*schemeState, len(live))
-	ensured := make(map[*schemeState]bool, 1)
 	for i, t := range live {
-		st := s.stateFor(t.job.Scheme)
-		states[i] = st
-		if ensured[st] {
-			continue
+		states[i] = s.stateFor(t.job.Scheme)
+		if err := s.ensure(states[i]); err != nil {
+			return s.retryAll(live, err), len(live)
 		}
-		if err := s.ensure(context.Background(), st); err != nil {
-			s.fallback(live)
-			return
-		}
-		ensured[st] = true
-	}
-
-	clientWait := make([]time.Duration, len(live))
-	for i, t := range live {
-		clientWait[i] = time.Since(t.enqueued)
 	}
 
 	buf := s.getBuf()
@@ -862,297 +789,243 @@ func (s *Shard) processBatch(batch []*task) {
 	serialize := time.Since(serializeStart)
 	s.mBatchJobs.Observe(float64(len(live)))
 
+	// Taken before the request, so an ack that lands while this frame is
+	// in flight still wakes the sender if the worker refuses it.
+	ack := s.nextAck()
 	reqStart := time.Now()
-	rep, err := s.postBatch(buf.Bytes())
-	if err != nil {
-		s.fallback(live)
-		return
+	rep, err := s.postFrame(live, buf.Bytes())
+	switch {
+	case err != nil:
+		return s.retryAll(live, err), len(live)
+	case rep.status == http.StatusBadRequest:
+		// The worker refused the frame itself — a frame version it does
+		// not speak, say. Re-sending the same bytes cannot help, and
+		// there is no other path to fall back to.
+		for _, t := range live {
+			s.failTask(t, fmt.Errorf("remote: worker %s refused the frame: %s", s.opts.Addr, rep.errMsg))
+		}
+		return nil, 0
+	case rep.status != http.StatusOK:
+		return s.retryAll(live, fmt.Errorf("remote: worker %s: status %d: %s", s.opts.Addr, rep.status, rep.errMsg)), len(live)
+	case len(rep.results) != len(live):
+		return s.retryAll(live, fmt.Errorf("remote: worker %s answered %d of %d jobs", s.opts.Addr, len(rep.results), len(live))), len(live)
 	}
-	switch rep.status {
-	case http.StatusOK:
-		// Handled below.
-	case http.StatusNotFound, http.StatusMethodNotAllowed,
-		http.StatusUnsupportedMediaType, http.StatusNotAcceptable:
-		s.noteBatchUnsupported(rep.status)
-		s.fallback(live)
-		return
-	case http.StatusTooManyRequests:
-		s.markSaturated()
-		s.mSaturated.Inc()
-		s.fallback(live)
-		return
-	default:
-		s.fallback(live)
-		return
-	}
-	if !rep.isBatch {
-		// A 200 whose body is not a batch frame is a foreign endpoint
-		// answering generically — same as not having the endpoint.
-		s.noteBatchUnsupported(rep.status)
-		s.fallback(live)
-		return
-	}
-	if len(rep.results) != len(live) {
-		s.fallback(live)
-		return
-	}
+	s.setHealthy(true, "decode frame answered")
 
-	s.setHealthy(true, "batched decode succeeded")
-	// Stage accounting is per job even on the coalesced path, so every
-	// stage's observation count equals the job count no matter how jobs
-	// were packed into frames. The marshal cost is shared evenly; a
-	// job's network stage is the round trip minus its own worker time —
-	// the same "time not accounted for by the worker" the per-job JSON
-	// path computes from the handle-time header.
+	// Stage accounting is per job, so every stage's observation count
+	// equals the job count however jobs were packed into frames. The
+	// marshal cost is shared evenly; a job's network stage is the round
+	// trip minus its own worker time.
 	serShare := serialize / time.Duration(len(live))
-
+	admitted := 0
+	var again, saturated []*task
 	for i := range rep.results {
-		r := &rep.results[i]
-		t := live[i]
+		r, t := &rep.results[i], live[i]
 		switch r.Status {
 		case batchOK:
-			network := rep.roundTrip - time.Duration(r.QueueNS+r.DecodeNS)
-			if network < 0 {
-				network = 0
-			}
+			admitted++
+			network := max(rep.roundTrip-time.Duration(r.QueueNS+r.DecodeNS), 0)
+			clientWait := serializeStart.Sub(t.enqueued)
 			s.mStage.With(s.opts.Addr, "serialize").ObserveDuration(serShare)
 			s.mStage.With(s.opts.Addr, "network").ObserveDuration(network)
 			s.mStage.With(s.opts.Addr, "worker_queue").ObserveDuration(time.Duration(r.QueueNS))
 			s.mStage.With(s.opts.Addr, "worker_decode").ObserveDuration(time.Duration(r.DecodeNS))
 			s.mStage.With(s.opts.Addr, "total").ObserveDuration(serShare + rep.roundTrip)
-			t.job.Trace.Span("shard_queue", trace.TierFrontend, 0, t.enqueued, clientWait[i])
+			t.job.Trace.Span("shard_queue", trace.TierFrontend, 0, t.enqueued, clientWait)
 			addWireSpans(t.job.Trace, serializeStart, serShare, reqStart, rep.roundTrip, network, r.QueueNS, r.DecodeNS)
 			t.settle(engine.Result{
 				Support: r.Support,
 				Decoder: r.Decoder,
 				Stats: engine.JobStats{
-					QueueWait:  clientWait[i] + time.Duration(r.QueueNS),
+					QueueWait:  clientWait + time.Duration(r.QueueNS),
 					DecodeTime: time.Duration(r.DecodeNS),
 					Residual:   r.Residual,
 					Consistent: r.Consistent,
 				},
 			}, nil)
-		case batchNotFound:
-			// The worker lost the scheme between ensure and decode; the
-			// per-job path re-installs and retries.
-			states[i].unensure()
-			s.process(t)
+		case batchDecodeErr:
+			admitted++
+			// Deterministic failures: retrying cannot change the answer.
+			s.failTask(t, fmt.Errorf("remote: worker %s: %s", s.opts.Addr, r.Err))
+		case batchBadRequest:
+			s.failTask(t, fmt.Errorf("remote: worker %s: %s", s.opts.Addr, r.Err))
 		case batchSaturated:
 			s.markSaturated()
 			s.mSaturated.Inc()
-			s.process(t)
-		case batchDecodeErr, batchBadRequest:
-			// Deterministic failures are terminal, matching the JSON
-			// path's 422/400 handling.
-			s.jobsFailed.Add(1)
-			t.settle(engine.Result{Stats: engine.JobStats{QueueWait: clientWait[i]}},
-				fmt.Errorf("remote: worker %s: %s", s.opts.Addr, r.Err))
-		default: // batchUnavailable: transient, retry per job
-			s.process(t)
+			saturated = append(saturated, t)
+		case batchNotFound:
+			// The worker lost the scheme (restart or registry eviction):
+			// the next frame re-installs it.
+			states[i].unensure()
+			fallthrough
+		default: // batchUnavailable: transient on a live worker
+			again = append(again, s.spend([]*task{t}, fmt.Errorf("remote: worker %s: %s", s.opts.Addr, r.Err), false)...)
 		}
 	}
+	if admitted > 0 {
+		s.signalAck()
+	} else if len(saturated) > 0 && !s.awaitAck(ack, saturated) {
+		// Refused entirely, and no frame of this client freed a slot
+		// within the backoff: the worker is stuck, not busy.
+		saturated = s.spend(saturated, fmt.Errorf("remote: worker %s: %w", s.opts.Addr, engine.ErrSaturated), false)
+	}
+	return append(again, saturated...), admitted
 }
 
-// batchReply is one batched round trip's outcome.
-type batchReply struct {
+// nextAck returns the channel the next admitting frame closes.
+func (s *Shard) nextAck() <-chan struct{} {
+	s.ackMu.Lock()
+	defer s.ackMu.Unlock()
+	return s.ack
+}
+
+// signalAck wakes the senders waiting in awaitAck.
+func (s *Shard) signalAck() {
+	s.ackMu.Lock()
+	close(s.ack)
+	s.ack = make(chan struct{})
+	s.ackMu.Unlock()
+}
+
+// awaitAck pauses a sender whose frame the worker refused entirely until
+// a frame of this client comes back with admitted jobs, or the backoff
+// for the jobs' next attempt runs out. It reports whether the ack came.
+func (s *Shard) awaitAck(ack <-chan struct{}, ts []*task) bool {
+	timer := time.NewTimer(s.backoff(ts, 1))
+	defer timer.Stop()
+	select {
+	case <-ack:
+		return true
+	case <-timer.C:
+		return false
+	}
+}
+
+// retryAll charges a frame-wide failure (install, transport, status, or
+// unparseable reply) to every job of the frame and returns the jobs left
+// to re-send after the backoff.
+func (s *Shard) retryAll(live []*task, err error) []*task {
+	again := s.spend(live, err, true)
+	if len(again) > 0 {
+		time.Sleep(s.backoff(again, 0))
+	}
+	return again
+}
+
+// spend charges one attempt to each job's budget and returns the jobs
+// that may be re-sent. Canceled jobs settle instead. Past the budget a
+// job settles: a saturated worker's jobs keep ErrSaturated visible to
+// errors.Is; the rest fail with ErrWorkerUnavailable, and when the
+// worker was unreachable (down) the shard is marked unhealthy so
+// campaigns re-dispatch elsewhere.
+func (s *Shard) spend(ts []*task, err error, down bool) []*task {
+	var again []*task
+	for _, t := range ts {
+		if t.ctx.Err() != nil {
+			s.cancelTask(t)
+			continue
+		}
+		t.attempts++
+		if t.attempts <= s.opts.retries() {
+			s.mRetries.Inc()
+			again = append(again, t)
+			continue
+		}
+		fail := s.unavailableErr(err)
+		switch {
+		case errors.Is(err, engine.ErrSaturated):
+			fail = fmt.Errorf("remote: worker %s: %w after %d attempts", s.opts.Addr, engine.ErrSaturated, t.attempts)
+		case down:
+			s.setHealthy(false, "retry budget exhausted: "+err.Error())
+			s.log.Warn("decode retry budget exhausted", "trace_id", t.job.TraceID, "attempts", t.attempts, "err", err)
+		}
+		s.failTask(t, fail)
+	}
+	return again
+}
+
+func (s *Shard) failTask(t *task, err error) {
+	s.jobsFailed.Add(1)
+	t.settle(engine.Result{Stats: engine.JobStats{QueueWait: time.Since(t.enqueued)}}, err)
+}
+
+func (s *Shard) cancelTask(t *task) {
+	s.jobsCanceled.Add(1)
+	t.settle(engine.Result{Stats: engine.JobStats{QueueWait: time.Since(t.enqueued)}}, t.ctx.Err())
+}
+
+// backoff is the pause before re-sending ts: RetryBackoff times the
+// highest attempt among them, counted ahead attempts on, at least one.
+func (s *Shard) backoff(ts []*task, ahead int) time.Duration {
+	n := 1
+	for _, t := range ts {
+		n = max(n, t.attempts+ahead)
+	}
+	return s.opts.retryBackoff() * time.Duration(n)
+}
+
+// frameReply is one frame round trip's outcome: the HTTP status, the
+// parsed results (200) or the worker's error message (otherwise), and
+// the client-measured round trip.
+type frameReply struct {
 	status    int
-	isBatch   bool
 	results   []batchResult
+	errMsg    string
 	roundTrip time.Duration
-	handleNS  int64
 }
 
-// postBatch runs one batched decode request. err is transport-level (or
-// an unparseable 200 batch body); HTTP-level failures come back in
-// status, and a 200 with a non-batch body comes back with isBatch
-// false.
-func (s *Shard) postBatch(payload []byte) (batchReply, error) {
-	// Batch-mates' contexts are independent; the request deadline alone
-	// bounds the round trip so one job's cancellation can't fail the
-	// rest.
-	rctx, cancel := context.WithTimeout(context.Background(), s.opts.requestTimeout())
+// postFrame runs one frame round trip. Frame-mates' contexts are
+// independent, so the request is abandoned only once every job in the
+// frame is canceled; the request deadline bounds it otherwise. err is
+// transport-level or an unparseable 200 body.
+func (s *Shard) postFrame(live []*task, payload []byte) (frameReply, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), s.opts.requestTimeout())
 	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, s.base+decodeBatchPath, bytes.NewReader(payload))
+	var left atomic.Int64
+	left.Store(int64(len(live)))
+	for _, t := range live {
+		stop := context.AfterFunc(t.ctx, func() {
+			if left.Add(-1) == 0 {
+				cancel()
+			}
+		})
+		defer stop()
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.base+decodeBatchPath, bytes.NewReader(payload))
 	if err != nil {
-		return batchReply{}, err
+		return frameReply{}, err
 	}
 	req.Header.Set("Content-Type", batchMediaType)
-	req.Header.Set("Accept", batchMediaType)
 	start := time.Now()
 	resp, err := s.hc.Do(req)
 	if err != nil {
-		return batchReply{}, err
+		return frameReply{}, err
 	}
 	defer drainClose(resp.Body)
-	rep := batchReply{status: resp.StatusCode}
-	rep.handleNS, _ = strconv.ParseInt(resp.Header.Get(handleTimeHeader), 10, 64)
-	if resp.StatusCode != http.StatusOK {
-		return rep, nil
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return frameReply{}, err
 	}
-	mt, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type"))
-	if mt != batchMediaType {
+	rep := frameReply{status: resp.StatusCode, roundTrip: time.Since(start)}
+	if rep.status != http.StatusOK {
+		var eb errorBody
+		if json.Unmarshal(body, &eb) != nil || eb.Error == "" {
+			eb.Error = http.StatusText(rep.status)
+		}
+		rep.errMsg = eb.Error
 		return rep, nil
-	}
-	body, rerr := io.ReadAll(resp.Body)
-	rep.roundTrip = time.Since(start)
-	if rerr != nil {
-		return batchReply{}, rerr
 	}
 	if rep.results, err = parseBatchResponse(body); err != nil {
-		return batchReply{}, err
+		return frameReply{}, err
 	}
-	rep.isBatch = true
 	return rep, nil
-}
-
-// process ships one job to the worker with bounded
-// retry-then-fail-the-job semantics.
-func (s *Shard) process(t *task) {
-	clientWait := time.Since(t.enqueued)
-	stats := engine.JobStats{QueueWait: clientWait}
-	if err := t.ctx.Err(); err != nil {
-		s.jobsCanceled.Add(1)
-		t.settle(engine.Result{Stats: stats}, err)
-		return
-	}
-	st := s.stateFor(t.job.Scheme)
-	req := decodeRequest{
-		Scheme: st.id, K: t.job.K, Y: t.job.Y,
-		Noise: t.job.Noise.Canon().String(), Trace: t.job.TraceID,
-	}
-	if t.job.Dec != nil {
-		req.Decoder = t.job.Dec.Name()
-	}
-	buf := s.getBuf()
-	defer s.putBuf(buf)
-	serializeStart := time.Now()
-	err := json.NewEncoder(buf).Encode(req)
-	payload := buf.Bytes()
-	serialize := time.Since(serializeStart)
-	if err != nil {
-		s.jobsFailed.Add(1)
-		t.settle(engine.Result{Stats: stats}, fmt.Errorf("remote: marshal job: %w", err))
-		return
-	}
-	s.mStage.With(s.opts.Addr, "serialize").ObserveDuration(serialize)
-
-	attempts := s.opts.retries() + 1
-	var lastErr error
-	alive, saturated := false, false
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			s.mRetries.Inc()
-			if !s.sleepBackoff(t.ctx, attempt) {
-				s.jobsCanceled.Add(1)
-				t.settle(engine.Result{Stats: stats}, t.ctx.Err())
-				return
-			}
-		}
-		if err := s.ensure(t.ctx, st); err != nil {
-			if t.ctx.Err() != nil {
-				s.jobsCanceled.Add(1)
-				t.settle(engine.Result{Stats: stats}, t.ctx.Err())
-				return
-			}
-			lastErr, alive, saturated = err, false, false
-			continue
-		}
-		reqStart := time.Now()
-		rep, err := s.postDecode(t.ctx, payload)
-		if err != nil {
-			if t.ctx.Err() != nil {
-				s.jobsCanceled.Add(1)
-				t.settle(engine.Result{Stats: stats}, t.ctx.Err())
-				return
-			}
-			lastErr, alive, saturated = err, false, false
-			continue
-		}
-		alive = true
-		s.setHealthy(true, "decode request succeeded")
-		out := rep.out
-		switch rep.status {
-		case http.StatusOK:
-			network := s.observeStages(serialize, rep, out)
-			t.job.Trace.Span("shard_queue", trace.TierFrontend, 0, t.enqueued, clientWait)
-			addWireSpans(t.job.Trace, serializeStart, serialize, reqStart, rep.roundTrip, network, out.QueueNS, out.DecodeNS)
-			t.settle(engine.Result{
-				Support: out.Support,
-				Decoder: out.Decoder,
-				Stats: engine.JobStats{
-					QueueWait:  clientWait + time.Duration(out.QueueNS),
-					DecodeTime: time.Duration(out.DecodeNS),
-					Residual:   out.Residual,
-					Consistent: out.Consistent,
-				},
-			}, nil)
-			return
-		case http.StatusNotFound:
-			// Worker restarted or evicted the scheme: re-install and retry.
-			st.unensure()
-			lastErr, saturated = fmt.Errorf("remote: worker %s: %s", s.opts.Addr, rep.errMsg), false
-		case http.StatusTooManyRequests:
-			s.markSaturated()
-			s.mSaturated.Inc()
-			lastErr = fmt.Errorf("remote: worker %s: %w", s.opts.Addr, engine.ErrSaturated)
-			saturated = true
-		case http.StatusUnprocessableEntity, http.StatusBadRequest:
-			// A decode (or validation) failure is terminal: retrying cannot
-			// change a deterministic answer.
-			s.jobsFailed.Add(1)
-			t.settle(engine.Result{Stats: stats}, fmt.Errorf("remote: worker %s: %s", s.opts.Addr, rep.errMsg))
-			return
-		default:
-			lastErr, saturated = fmt.Errorf("remote: worker %s: status %d: %s", s.opts.Addr, rep.status, rep.errMsg), false
-		}
-	}
-
-	s.jobsFailed.Add(1)
-	if saturated {
-		// The worker is alive but full past the retry budget; the error
-		// keeps ErrSaturated visible to errors.Is.
-		t.settle(engine.Result{Stats: stats}, fmt.Errorf("remote: worker %s: %w after %d attempts", s.opts.Addr, engine.ErrSaturated, attempts))
-		return
-	}
-	if !alive {
-		s.setHealthy(false, "retry budget exhausted: "+errString(lastErr))
-		s.log.Warn("decode retry budget exhausted", "trace_id", t.job.TraceID, "attempts", attempts, "err", lastErr)
-	}
-	t.settle(engine.Result{Stats: stats}, s.unavailableErr(lastErr))
-}
-
-func errString(err error) string {
-	if err == nil {
-		return "unknown"
-	}
-	return err.Error()
-}
-
-// observeStages splits one successful decode round trip into the
-// per-stage timers: serialize (local marshal), network (round trip
-// minus the worker's reported handling time), worker_queue and
-// worker_decode (from the response body), plus the whole-request total.
-// The split needs no clock sync — the handle time rides a response
-// header measured on the worker's clock alone. It returns the network
-// stage so the caller can reuse it for the trace spans.
-func (s *Shard) observeStages(serialize time.Duration, rep decodeReply, out decodeResponse) time.Duration {
-	network := rep.roundTrip - time.Duration(rep.handleNS)
-	if rep.handleNS <= 0 || network < 0 {
-		network = rep.roundTrip
-	}
-	s.mStage.With(s.opts.Addr, "network").ObserveDuration(network)
-	s.mStage.With(s.opts.Addr, "worker_queue").ObserveDuration(time.Duration(out.QueueNS))
-	s.mStage.With(s.opts.Addr, "worker_decode").ObserveDuration(time.Duration(out.DecodeNS))
-	s.mStage.With(s.opts.Addr, "total").ObserveDuration(serialize + rep.roundTrip)
-	return network
 }
 
 // addWireSpans appends one job's wire-stage span subtree to its trace:
 // a "wire" parent covering marshal + round trip, with serialize and
 // network children measured on this side of the hop, and worker_queue /
 // worker_decode children synthesized from the durations the worker
-// reported back (QueueNS/DecodeNS on the wire, the Pooled-Handle-Ns
-// accounting family). The worker spans are laid at the tail of the
+// reported back (QueueNS/DecodeNS in the reply frame). The worker spans are laid at the tail of the
 // request window, so the tree nests sensibly without any cross-machine
 // clock sync. Nil-safe via the builder.
 func addWireSpans(tb *trace.Builder, serializeStart time.Time, serialize time.Duration, reqStart time.Time, roundTrip, network time.Duration, queueNS, decodeNS int64) {
@@ -1172,21 +1045,10 @@ func addWireSpans(tb *trace.Builder, serializeStart time.Time, serialize time.Du
 	tb.Span("worker_decode", trace.TierWorker, wire, workerStart.Add(time.Duration(queueNS)), time.Duration(decodeNS))
 }
 
-func (s *Shard) sleepBackoff(ctx context.Context, attempt int) bool {
-	timer := time.NewTimer(s.opts.retryBackoff() * time.Duration(attempt))
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
 // ensure ships the scheme's design CSV to the worker if this client
 // hasn't (or a 404 told it the worker lost it). Serialized per scheme;
 // idempotent on the worker.
-func (s *Shard) ensure(ctx context.Context, st *schemeState) error {
+func (s *Shard) ensure(st *schemeState) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.ensured {
@@ -1196,9 +1058,9 @@ func (s *Shard) ensure(ctx context.Context, st *schemeState) error {
 	if err := labio.WriteDesign(&buf, st.scheme.G); err != nil {
 		return fmt.Errorf("remote: serialize design: %w", err)
 	}
-	rctx, cancel := context.WithTimeout(ctx, s.opts.requestTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), s.opts.requestTimeout())
 	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPut, s.base+schemePathPrefix+url.PathEscape(st.id), &buf)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPut, s.base+schemePathPrefix+url.PathEscape(st.id), &buf)
 	if err != nil {
 		return err
 	}
@@ -1213,52 +1075,6 @@ func (s *Shard) ensure(ctx context.Context, st *schemeState) error {
 	}
 	st.ensured = true
 	return nil
-}
-
-// decodeReply is one decode round trip's outcome: HTTP status, parsed
-// body (200 only), error message (non-200), plus the client-measured
-// round-trip time and the worker-reported handle time for the
-// network/worker stage split.
-type decodeReply struct {
-	status    int
-	out       decodeResponse
-	errMsg    string
-	roundTrip time.Duration
-	handleNS  int64
-}
-
-// postDecode runs one decode request. err is transport-level only;
-// HTTP-level failures come back in the reply's (status, errMsg).
-func (s *Shard) postDecode(ctx context.Context, payload []byte) (decodeReply, error) {
-	rctx, cancel := context.WithTimeout(ctx, s.opts.requestTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, s.base+decodePath, bytes.NewReader(payload))
-	if err != nil {
-		return decodeReply{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	start := time.Now()
-	resp, err := s.hc.Do(req)
-	if err != nil {
-		return decodeReply{}, err
-	}
-	defer drainClose(resp.Body)
-	rep := decodeReply{status: resp.StatusCode, roundTrip: time.Since(start)}
-	rep.handleNS, _ = strconv.ParseInt(resp.Header.Get(handleTimeHeader), 10, 64)
-	if resp.StatusCode == http.StatusOK {
-		if derr := json.NewDecoder(resp.Body).Decode(&rep.out); derr != nil {
-			return decodeReply{}, fmt.Errorf("remote: parse response: %w", derr)
-		}
-		// The body read is part of the round trip the stage split divides.
-		rep.roundTrip = time.Since(start)
-		return rep, nil
-	}
-	var eb errorBody
-	if derr := json.NewDecoder(resp.Body).Decode(&eb); derr != nil || eb.Error == "" {
-		eb.Error = http.StatusText(resp.StatusCode)
-	}
-	rep.errMsg = eb.Error
-	return rep, nil
 }
 
 func (s *Shard) probeLoop() {

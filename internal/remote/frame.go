@@ -6,13 +6,13 @@ import (
 	"math"
 )
 
-// Binary batch framing: POST /shard/v1/decode-batch carries a coalesced
-// batch of decode jobs in one length-prefixed binary frame, and the
-// response carries one status-tagged result per job. The format is
-// versioned by a leading magic+version triplet and uses unsigned varints
-// for every length and small integer, with y-vectors as raw
-// little-endian int64s — the frame layout, negotiation, and
-// compatibility rules are specified in docs/shard-protocol.md.
+// Binary batch framing: POST /shard/v1/decode-batch carries every
+// frontend→worker decode, one job or many, in one length-prefixed binary
+// frame, and the response carries one status-tagged result per job. The
+// format is versioned by a leading magic+version triplet and uses
+// unsigned varints for every length and small integer, with y-vectors as
+// raw little-endian int64s — the frame layout and compatibility rules
+// are specified in docs/shard-protocol.md.
 //
 // Every parse validates claimed lengths against the bytes actually
 // remaining before allocating, so truncated, oversized, or garbage
@@ -20,13 +20,11 @@ import (
 // or an attacker-sized make().
 
 const (
-	// decodeBatchPath is the batched sibling of decodePath. Workers that
-	// predate it answer 404 from their catch-all route, which the client
-	// treats as "speak JSON per job to this worker".
+	// decodeBatchPath is the worker's one decode route.
 	decodeBatchPath = "/shard/v1/decode-batch"
 
-	// batchMediaType names the framing in Content-Type/Accept; the frame
-	// itself carries the version byte.
+	// batchMediaType names the framing in Content-Type; the frame itself
+	// carries the version byte, which is the compatibility check.
 	batchMediaType = "application/x-pooled-batch"
 
 	// frameVersion is the current frame layout version.
@@ -48,8 +46,10 @@ const (
 	maxSupportLen  = 1 << 24
 )
 
-// batchJob is one decode job inside a request frame — the binary twin of
-// decodeRequest.
+// batchJob is one decode job inside a request frame. Noise travels in
+// the compact colon form ("gaussian:0.5:7"); Decoder is an
+// engine.DecoderByName name, empty for the noise policy's server-side
+// pick; Trace carries the frontend's per-job trace id into worker logs.
 type batchJob struct {
 	Scheme  string
 	Noise   string
@@ -59,11 +59,10 @@ type batchJob struct {
 	Y       []int64
 }
 
-// Per-job response statuses. The mapping to the JSON endpoint's HTTP
-// statuses is one-to-one, so the client's per-status handling is shared.
+// Per-job response statuses.
 const (
 	batchOK          byte = 0 // result payload follows
-	batchNotFound    byte = 1 // unknown scheme: re-install and retry
+	batchNotFound    byte = 1 // unknown scheme: re-install and re-send
 	batchSaturated   byte = 2 // queue full: ErrSaturated backpressure
 	batchDecodeErr   byte = 3 // decode failed: terminal
 	batchBadRequest  byte = 4 // malformed job: terminal

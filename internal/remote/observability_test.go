@@ -192,21 +192,10 @@ func TestRemoteStageTimers(t *testing.T) {
 	}
 }
 
-// TestWorkerSaturationCounter: a worker that answers 429 feeds the
-// saturation mirror counter.
+// TestWorkerSaturationCounter: a worker that answers every job
+// saturated feeds the saturation mirror counter.
 func TestWorkerSaturationCounter(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.URL.Path == decodePath:
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "saturated")
-		case r.Method == http.MethodPut:
-			w.WriteHeader(http.StatusNoContent)
-		default:
-			writeJSON(w, http.StatusOK, healthResponse{OK: true, Shards: 1})
-		}
-	}))
-	t.Cleanup(ts.Close)
+	ts := fakeWorker(t, each(saturated))
 
 	reg := metrics.NewRegistry()
 	sh := newShard(t, ts, func(o *Options) { o.Metrics = reg })

@@ -11,13 +11,16 @@
 //	                             the graph and ships it, so worker and
 //	                             frontend are bit-identical by
 //	                             construction — no rebuild drift)
-//	POST /shard/v1/decode        {"scheme":id,"y":[...],"k":16,
-//	                             "noise":"gaussian:0.5:7","decoder":""}
-//	                             → 200 result | 404 unknown scheme
-//	                             (client re-installs and retries)
-//	                             | 429 saturated (ErrSaturated mirrored
-//	                             back into the dispatcher's backpressure)
-//	                             | 422 decode error
+//	POST /shard/v1/decode-batch  binary frame of decode jobs (B >= 1;
+//	                             layout in docs/shard-protocol.md)
+//	                             → 200 frame of per-job verdicts: ok |
+//	                             notFound (client re-installs, re-sends)
+//	                             | saturated (re-sent as the worker
+//	                             frees slots; ErrSaturated mirrored back
+//	                             into the dispatcher's backpressure) |
+//	                             decodeErr | badRequest (terminal);
+//	                             400 for a frame it cannot read,
+//	                             including an unknown frame version
 //	GET  /shard/v1/health        liveness + queue gauges (probe target)
 //	GET  /shard/v1/stats         engine.Stats JSON (fleet aggregation)
 //
@@ -35,42 +38,9 @@ package remote
 // Shard API paths, versioned separately from the public /v1 API.
 const (
 	schemePathPrefix = "/shard/v1/schemes/"
-	decodePath       = "/shard/v1/decode"
 	healthPath       = "/shard/v1/health"
 	statsPath        = "/shard/v1/stats"
 )
-
-// decodeRequest is the wire form of one decode job. Noise travels in
-// the compact colon form ("gaussian:0.5:7") shared with the CSV decode
-// path; Decoder is an engine.DecoderByName name, empty for the noise
-// policy's server-side pick.
-type decodeRequest struct {
-	Scheme  string  `json:"scheme"`
-	K       int     `json:"k"`
-	Decoder string  `json:"decoder,omitempty"`
-	Noise   string  `json:"noise,omitempty"`
-	Y       []int64 `json:"y"`
-	// Trace carries the frontend's per-job trace id across the
-	// federation hop, so worker logs correlate with frontend logs.
-	Trace string `json:"trace,omitempty"`
-}
-
-// decodeResponse mirrors engine.Result on the wire.
-type decodeResponse struct {
-	Support    []int  `json:"support"`
-	Decoder    string `json:"decoder,omitempty"`
-	Residual   int64  `json:"residual"`
-	Consistent bool   `json:"consistent"`
-	QueueNS    int64  `json:"queue_ns"`
-	DecodeNS   int64  `json:"decode_ns"`
-	Trace      string `json:"trace,omitempty"`
-}
-
-// handleTimeHeader carries the worker's server-side handling time
-// (nanoseconds, queue wait through response serialization) on decode
-// responses, so the client can split a request's round trip into
-// network time vs. worker time without clock synchronization.
-const handleTimeHeader = "Pooled-Handle-Ns"
 
 // healthResponse is the probe payload: liveness plus the gauges the
 // frontend surfaces per shard in /v1/stats.

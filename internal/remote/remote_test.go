@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,6 +21,7 @@ import (
 	"pooleddata/internal/pooling"
 	"pooleddata/internal/query"
 	"pooleddata/internal/rng"
+	"pooleddata/metrics"
 )
 
 // newWorker starts an in-process worker: a local engine cluster behind
@@ -201,8 +204,9 @@ func TestRemoteReinstallAfterEviction(t *testing.T) {
 }
 
 // fakeWorker is a scripted worker for failure-path tests: health and
-// installs succeed, decode behavior is pluggable.
-func fakeWorker(t *testing.T, decode http.HandlerFunc) *httptest.Server {
+// installs succeed, and the frame route answers each frame with
+// answer(jobs).
+func fakeWorker(t *testing.T, answer func(jobs []batchJob) []batchResult) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /shard/v1/health", func(w http.ResponseWriter, r *http.Request) {
@@ -211,20 +215,45 @@ func fakeWorker(t *testing.T, decode http.HandlerFunc) *httptest.Server {
 	mux.HandleFunc("PUT /shard/v1/schemes/{id}", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 	})
-	mux.HandleFunc("POST /shard/v1/decode", decode)
+	mux.HandleFunc("POST "+decodeBatchPath, func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "read: %v", err)
+			return
+		}
+		jobs, err := parseBatchRequest(body)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "parse batch frame: %v", err)
+			return
+		}
+		w.Header().Set("Content-Type", batchMediaType)
+		w.Write(appendBatchResponse(nil, answer(jobs)))
+	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts
+}
+
+// each answers every job of a frame with the same verdict, in order.
+func each(verdict func() batchResult) func([]batchJob) []batchResult {
+	return func(jobs []batchJob) []batchResult {
+		results := make([]batchResult, len(jobs))
+		for i := range jobs {
+			results[i] = verdict()
+		}
+		return results
+	}
+}
+
+func saturated() batchResult {
+	return batchResult{Status: batchSaturated, Err: "decode queue saturated"}
 }
 
 // TestWorker429MirrorsSaturation: a worker answering 429 makes the job
 // fail with an error wrapping engine.ErrSaturated after bounded
 // retries, and raises the client's Saturated signal.
 func TestWorker429MirrorsSaturation(t *testing.T) {
-	ts := fakeWorker(t, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "decode queue saturated")
-	})
+	ts := fakeWorker(t, each(saturated))
 	sh := newShard(t, ts, func(o *Options) { o.Retries = 1 })
 	cluster := engine.NewClusterOf(sh)
 	s, err := cluster.Scheme(nil, 200, 80, 1)
@@ -254,11 +283,11 @@ func TestWorker429MirrorsSaturation(t *testing.T) {
 func TestClientQueueBackpressure(t *testing.T) {
 	entered := make(chan struct{}, 4)
 	release := make(chan struct{})
-	ts := fakeWorker(t, func(w http.ResponseWriter, r *http.Request) {
+	ts := fakeWorker(t, each(func() batchResult {
 		entered <- struct{}{}
 		<-release
-		writeJSON(w, http.StatusOK, decodeResponse{Support: []int{}})
-	})
+		return batchResult{Status: batchOK}
+	}))
 	defer close(release)
 	sh := newShard(t, ts, func(o *Options) { o.Senders = 1; o.QueueDepth = 1 })
 	cluster := engine.NewClusterOf(sh)
@@ -297,11 +326,11 @@ func TestClientQueueBackpressure(t *testing.T) {
 func TestRemoteCancellation(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{}, 4)
-	ts := fakeWorker(t, func(w http.ResponseWriter, r *http.Request) {
+	ts := fakeWorker(t, each(func() batchResult {
 		entered <- struct{}{}
 		<-release
-		writeJSON(w, http.StatusOK, decodeResponse{Support: []int{}})
-	})
+		return batchResult{Status: batchOK}
+	}))
 	defer close(release)
 	sh := newShard(t, ts, func(o *Options) { o.Senders = 1; o.QueueDepth = 4 })
 	cluster := engine.NewClusterOf(sh)
@@ -329,6 +358,105 @@ func TestRemoteCancellation(t *testing.T) {
 	// outcome (canceled or a late success) must settle the future.
 	if _, err := futBlocked.Wait(context.Background()); err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("in-flight job err = %v", err)
+	}
+}
+
+// TestBusyWorkerBurstSpendsNoRetries: a worker that admits at most two
+// jobs at once, across all in-flight frames, is busy, not broken. Four
+// senders push a burst far past its capacity, so most frames come back
+// partly or wholly saturated, yet every job settles OK without spending
+// its retry budget: parked jobs are re-sent as admitted jobs free
+// slots, and a sender refused outright waits for the next admission.
+func TestBusyWorkerBurstSpendsNoRetries(t *testing.T) {
+	const slots, burst = 2, 128
+	sem := make(chan struct{}, slots)
+	ts := fakeWorker(t, func(jobs []batchJob) []batchResult {
+		results := make([]batchResult, len(jobs))
+		admitted := 0
+		for i := range results {
+			select {
+			case sem <- struct{}{}:
+				admitted++
+				results[i] = batchResult{Status: batchOK, Decoder: "mn", Support: []int{}}
+			default:
+				results[i] = saturated()
+			}
+		}
+		// Admitted jobs decode concurrently; the frame is answered once
+		// they are done, and only then are their slots free again.
+		time.Sleep(2 * time.Millisecond)
+		for ; admitted > 0; admitted-- {
+			<-sem
+		}
+		return results
+	})
+	reg := metrics.NewRegistry()
+	sh := newShard(t, ts, func(o *Options) {
+		o.Senders = 4
+		o.Retries = 2
+		o.RetryBackoff = 50 * time.Millisecond
+		o.Metrics = reg
+	})
+	cluster := engine.NewClusterOf(sh)
+	s, err := cluster.Scheme(nil, 200, 80, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	futs := make([]*engine.Future, burst)
+	for i := range futs {
+		if futs[i], err = cluster.Submit(context.Background(), engine.Job{Scheme: s, Y: make([]int64, 80), K: 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, fut := range futs {
+		if _, err := fut.Wait(context.Background()); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+	addr := ts.Listener.Addr().String()
+	if v, _ := sampleValue(reg.Gather(), "pooled_remote_retries_total", addr); v != 0 {
+		t.Fatalf("pooled_remote_retries_total = %v, want 0 against a busy worker", v)
+	}
+	if v, ok := sampleValue(reg.Gather(), "pooled_remote_saturated_total", addr); !ok || v < 1 {
+		t.Fatalf("saturated counter = %v (present %v): the burst never saturated the worker", v, ok)
+	}
+}
+
+// TestFrameRefusalFailsJobs: a worker that refuses the frame itself (a
+// frame version it does not speak) fails the jobs with its reason and
+// without retries — there is no other path to downgrade to.
+func TestFrameRefusalFailsJobs(t *testing.T) {
+	var posts atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == decodeBatchPath:
+			posts.Add(1)
+			writeError(w, http.StatusBadRequest, "parse batch frame: remote: unsupported frame version %d (have %d)", frameVersion, frameVersion+1)
+		case r.Method == http.MethodPut:
+			w.WriteHeader(http.StatusNoContent)
+		default:
+			writeJSON(w, http.StatusOK, healthResponse{OK: true, Shards: 1})
+		}
+	}))
+	t.Cleanup(ts.Close)
+	sh := newShard(t, ts, nil)
+	cluster := engine.NewClusterOf(sh)
+	s, err := cluster.Scheme(nil, 200, 80, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = cluster.Decode(context.Background(), engine.Job{Scheme: s, Y: make([]int64, 80), K: 0})
+	if err == nil || !strings.Contains(err.Error(), "unsupported frame version") {
+		t.Fatalf("err = %v, want the worker's frame-version refusal", err)
+	}
+	if errors.Is(err, ErrWorkerUnavailable) {
+		t.Fatalf("err = %v: a refused frame is not an unavailable worker", err)
+	}
+	if got := posts.Load(); got != 1 {
+		t.Fatalf("refused frame sent %d times, want 1", got)
+	}
+	if !sh.Healthy() {
+		t.Fatal("a worker that answers is healthy")
 	}
 }
 

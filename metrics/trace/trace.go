@@ -11,9 +11,9 @@
 //
 // Spans carry offsets from the trace start rather than wall timestamps,
 // so spans synthesized for the far side of a federation hop (worker
-// queue and decode time reported back by `Pooled-Handle-Ns` style
-// accounting) need no clock synchronization: the client lays them out
-// inside the request window it measured locally.
+// queue and decode time reported back in the reply frame) need no
+// clock synchronization: the client lays them out inside the request
+// window it measured locally.
 package trace
 
 import (
