@@ -46,8 +46,9 @@ bench-remote:
 	$(GO) test -short -run '^$$' -bench 'BenchmarkRemoteShardDecode' -benchtime 100x ./internal/remote
 
 # Machine-readable kernel numbers: the decode kernels (bit-sliced batch
-# vs scalar), the noisy batch path, and the remote/batched wire parity,
-# written as BENCH_kernels.json (name -> ns/op, B/op, allocs/op) for CI
+# vs scalar), the noisy batch path, the refined decoder at a noisy
+# campaign's shape, and the remote/batched wire parity, written as
+# BENCH_kernels.json (pkg.Name -> pkg, ns/op, B/op, allocs/op) for CI
 # to archive and for regression tooling to diff.
 bench-kernels:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -55,6 +56,8 @@ bench-kernels:
 	{ $(GO) test -short -run '^$$' -benchmem \
 	    -bench 'BenchmarkNoisyBatchDecode|BenchmarkMNDecode|BenchmarkQueryExecute|BenchmarkOneDesignManySignals|BenchmarkTraceOverhead' \
 	    -benchtime 1x . ; \
+	  $(GO) test -short -run '^$$' -benchmem \
+	    -bench 'BenchmarkRefinedDecode' -benchtime 3x ./internal/decoder ; \
 	  $(GO) test -short -run '^$$' -benchmem \
 	    -bench 'BenchmarkRemoteShardDecode' -benchtime 20x ./internal/remote ; } \
 	| tee /dev/stderr | $$tmp/benchjson > BENCH_kernels.json

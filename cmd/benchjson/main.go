@@ -7,16 +7,19 @@
 //
 //	go test -run '^$' -bench . -benchmem ./... | benchjson > BENCH.json
 //
-// Non-benchmark lines (PASS, ok, goos/goarch headers, test log output)
-// are ignored, so the tool can sit at the end of any test pipeline. A
-// run with zero benchmark lines is an error: it almost always means the
-// -bench pattern matched nothing.
+// Each benchmark is keyed by its package and name ("pkg.Name", from the
+// most recent "pkg:" header), so a run over several packages keeps
+// same-named benchmarks apart. Other non-benchmark lines (PASS, ok,
+// goos/goarch headers, test log output) are ignored, so the tool can sit
+// at the end of any test pipeline. A run with zero benchmark lines is an
+// error: it almost always means the -bench pattern matched nothing.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"strconv"
@@ -27,6 +30,7 @@ import (
 // ns_per_op appear only when the benchmark ran with -benchmem or called
 // b.ReportAllocs.
 type result struct {
+	Pkg         string   `json:"pkg,omitempty"`
 	Iterations  int64    `json:"iterations"`
 	NsPerOp     float64  `json:"ns_per_op"`
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
@@ -36,7 +40,6 @@ type result struct {
 type document struct {
 	Goos       string            `json:"goos,omitempty"`
 	Goarch     string            `json:"goarch,omitempty"`
-	Pkg        string            `json:"pkg,omitempty"`
 	Benchmarks map[string]result `json:"benchmarks"`
 }
 
@@ -71,8 +74,9 @@ func parseMeasurements(rest string, r *result) error {
 	return nil
 }
 
-func run(in *bufio.Scanner, out *os.File) error {
+func run(in *bufio.Scanner, out io.Writer) error {
 	doc := document{Benchmarks: map[string]result{}}
+	var pkg string
 	// Allow long lines: benchmark names embed sub-benchmark paths.
 	in.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for in.Scan() {
@@ -85,7 +89,7 @@ func run(in *bufio.Scanner, out *os.File) error {
 			doc.Goarch = strings.TrimPrefix(line, "goarch: ")
 			continue
 		case strings.HasPrefix(line, "pkg: "):
-			doc.Pkg = strings.TrimPrefix(line, "pkg: ")
+			pkg = strings.TrimPrefix(line, "pkg: ")
 			continue
 		}
 		m := benchLine.FindStringSubmatch(line)
@@ -96,11 +100,15 @@ func run(in *bufio.Scanner, out *os.File) error {
 		if err != nil {
 			return fmt.Errorf("benchjson: iterations in %q: %v", line, err)
 		}
-		r := result{Iterations: iters}
+		r := result{Pkg: pkg, Iterations: iters}
 		if err := parseMeasurements(m[3], &r); err != nil {
 			return fmt.Errorf("benchjson: line %q: %v", line, err)
 		}
-		doc.Benchmarks[m[1]] = r
+		key := m[1]
+		if pkg != "" {
+			key = pkg + "." + key
+		}
+		doc.Benchmarks[key] = r
 	}
 	if err := in.Err(); err != nil {
 		return fmt.Errorf("benchjson: read stdin: %v", err)

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"pooleddata/internal/bitvec"
 	"pooleddata/internal/graph"
@@ -295,11 +296,15 @@ func (d Refined) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, e
 		passes = 8
 	}
 
+	sc := refinePool.Get().(*refineScratch)
+	defer refinePool.Put(sc)
+
 	// Per-query predicted responses for the current estimate, accumulated
 	// from the k selected entries' edges (k·deg work; building the full
 	// query-side matrix as Predict does would cost a whole Γm pass per
 	// decode, dominating the refinement itself on large designs).
-	pred := make([]int64, g.M())
+	sc.pred = zeroed(sc.pred, g.M())
+	pred := sc.pred
 	est.ForEachSet(func(i int) {
 		qs, mu := g.EntryQueries(i)
 		for p, j := range qs {
@@ -317,13 +322,14 @@ func (d Refined) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, e
 	// Candidate insertions: best-scoring zeros. Candidate removals: all
 	// current ones (k of them). At most k of the top k+pool scores are
 	// selected entries, so that prefix always yields pool candidates —
-	// no need to rank all n scores.
+	// no need to rank all n scores. No candidate is ever selected: a
+	// committed swap puts the removed entry in the inserted one's slot.
 	top := k + pool
 	if top > g.N() {
 		top = g.N()
 	}
 	order := parsort.TopKDesc(res.Scores, top)
-	candIn := make([]int, 0, pool)
+	candIn := sc.candIn[:0]
 	for _, i := range order {
 		if !est.Get(int(i)) {
 			candIn = append(candIn, int(i))
@@ -332,34 +338,43 @@ func (d Refined) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, e
 			}
 		}
 	}
+	sc.candIn = candIn
 
-	// outAdj[j] is the multiplicity of the current removal candidate in
-	// query j and outMask its packed membership over queries, both filled
-	// (and cleared) once per candidate so each swapDelta is O(deg(in))
-	// instead of O(deg(out) + deg(in)): the removal half of the delta is
-	// identical for every insertion candidate and hoisted out of the
-	// candidate loop, and the insertion half tests "does out touch query
-	// j" with one word-indexed bit instead of a dense int64 load.
-	outAdj := make([]int64, g.M())
-	outMask := bitvec.New(g.M())
+	// Swap (out, in) changes the misfit by removeDelta(out) plus the
+	// insertion delta of in on the residual r = y − pred with out already
+	// removed. With f(x) = |x−μ| − |x| for in's multiplicity μ, that is
+	// Σ_{j∈N(in)} f(r_j + a_j), where a_j is out's multiplicity (0 off
+	// N(out)). The index caches ins[ci] = Σ f(r_j) per candidate, so the
+	// pair's delta is removeDelta + ins[ci] + corr[ci], where corr sums
+	// f(r_j + a_j) − f(r_j) over N(out). f is constant for x ≤ 0 and for
+	// x ≥ μ, so only queries with −a_j < r_j < μ contribute; they are
+	// walked through the query→candidate index. Integer arithmetic keeps
+	// every delta, and so every decision, exact.
+	sc.index(g, y, pred, candIn)
+	sc.corr = zeroed(sc.corr, len(candIn))
+	corr := sc.corr
 	for pass := 0; pass < passes && misfit > 0; pass++ {
 		improved := false
 		ones := est.Support()
 		for _, out := range ones {
 			qsOut, muOut := g.EntryQueries(out)
+			clear(corr)
 			var removeDelta int64
 			for p, j := range qsOut {
-				outAdj[j] = int64(muOut[p])
-				outMask.Set(int(j))
-				before := abs64(y[j] - pred[j])
-				after := abs64(y[j] - (pred[j] - int64(muOut[p])))
-				removeDelta += after - before
-			}
-			for ci, in := range candIn {
-				if in < 0 || est.Get(in) {
+				a := int64(muOut[p])
+				r := y[j] - pred[j]
+				removeDelta += abs64(r+a) - abs64(r)
+				if r+a <= 0 {
 					continue
 				}
-				delta := removeDelta + insertDelta(g, y, pred, outAdj, outMask.Words(), in)
+				for q := sc.qptr[j]; q < sc.qptr[j+1]; q++ {
+					if mu := int64(sc.qmu[q]); r < mu {
+						corr[sc.qci[q]] += abs64(r+a-mu) - abs64(r+a) - abs64(r-mu) + abs64(r)
+					}
+				}
+			}
+			for ci, in := range candIn {
+				delta := removeDelta + sc.ins[ci] + corr[ci]
 				if delta < 0 {
 					// Commit the swap.
 					qsIn, muIn := g.EntryQueries(in)
@@ -374,12 +389,11 @@ func (d Refined) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, e
 					candIn[ci] = out // the removed entry becomes a candidate
 					misfit += delta
 					improved = true
+					// The swap moves pred on most queries, so every
+					// cached delta is stale: rebuild rather than patch.
+					sc.index(g, y, pred, candIn)
 					break
 				}
-			}
-			for _, j := range qsOut {
-				outAdj[j] = 0
-				outMask.Clear(int(j))
 			}
 			if misfit == 0 {
 				break
@@ -392,26 +406,68 @@ func (d Refined) Decode(g *graph.Bipartite, y []int64, k int) (*bitvec.Vector, e
 	return est, nil
 }
 
-// insertDelta returns the change in L1 misfit contributed by adding
-// entry in, on top of an already-applied removal described by outAdj
-// (the removed entry's dense per-query multiplicity) and outWords (its
-// packed query membership). The word-indexed bit test keeps the common
-// disjoint-neighborhood case to one load per query, reading outAdj only
-// where the two neighborhoods actually intersect.
-func insertDelta(g *graph.Bipartite, y, pred, outAdj []int64, outWords []uint64, in int) int64 {
-	var delta int64
-	qsIn, muIn := g.EntryQueries(in)
-	for p, j := range qsIn {
-		// If j is also touched by out, account on top of the removal.
-		var adj int64
-		if outWords[j>>6]&(1<<(uint(j)&63)) != 0 {
-			adj = outAdj[j]
+// refineScratch is the working set of one Refined.Decode, leased from
+// refinePool so a warm decoder allocates none of it.
+type refineScratch struct {
+	pred   []int64 // predicted response per query for the current estimate
+	candIn []int   // insertion candidates, in scan order
+	ins    []int64 // ins[ci]: candIn[ci]'s insertion delta on the current residual
+	corr   []int64 // corr[ci]: ins[ci]'s correction for the removal under test
+	// Query→candidate index: the candidates touching query j are
+	// qci[qptr[j]:qptr[j+1]] (positions in candIn), with multiplicities qmu.
+	qptr []int
+	qci  []int32
+	qmu  []int32
+}
+
+var refinePool = sync.Pool{New: func() any { return new(refineScratch) }}
+
+// index recomputes ins and the query→candidate index for the residual
+// y − pred and the candidates candIn.
+func (sc *refineScratch) index(g *graph.Bipartite, y, pred []int64, candIn []int) {
+	m := g.M()
+	sc.ins = zeroed(sc.ins, len(candIn))
+	sc.qptr = zeroed(sc.qptr, m+1)
+	qptr := sc.qptr
+	for ci, in := range candIn {
+		qs, mu := g.EntryQueries(in)
+		var d int64
+		for p, j := range qs {
+			r := y[j] - pred[j]
+			d += abs64(r-int64(mu[p])) - abs64(r)
+			qptr[j+1]++
 		}
-		before := abs64(y[j] - (pred[j] - adj))
-		after := abs64(y[j] - (pred[j] - adj + int64(muIn[p])))
-		delta += after - before
+		sc.ins[ci] = d
 	}
-	return delta
+	for j := 0; j < m; j++ {
+		qptr[j+1] += qptr[j]
+	}
+	sc.qci = zeroed(sc.qci, qptr[m])
+	sc.qmu = zeroed(sc.qmu, qptr[m])
+	// Fill with qptr[j] as query j's write cursor; each cursor ends on
+	// the next query's start, so shifting by one restores the offsets.
+	for ci, in := range candIn {
+		qs, mu := g.EntryQueries(in)
+		for p, j := range qs {
+			at := qptr[j]
+			sc.qci[at] = int32(ci)
+			sc.qmu[at] = mu[p]
+			qptr[j] = at + 1
+		}
+	}
+	copy(qptr[1:], qptr[:m])
+	qptr[0] = 0
+}
+
+// zeroed returns s resized to n zero elements, reusing its backing
+// array when it is large enough.
+func zeroed[T int | int32 | int64](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func abs64(v int64) int64 {

@@ -1047,20 +1047,34 @@ func addWireSpans(tb *trace.Builder, serializeStart time.Time, serialize time.Du
 
 // ensure ships the scheme's design CSV to the worker if this client
 // hasn't (or a 404 told it the worker lost it). Serialized per scheme;
-// idempotent on the worker.
+// idempotent on the worker. The CSV streams straight into the request
+// body (chunked, no Content-Length) rather than being built in memory
+// first: for a large design the whole file would be tens of MB.
 func (s *Shard) ensure(st *schemeState) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.ensured {
 		return nil
 	}
-	var buf bytes.Buffer
-	if err := labio.WriteDesign(&buf, st.scheme.G); err != nil {
-		return fmt.Errorf("remote: serialize design: %w", err)
-	}
+	pr, pw := io.Pipe()
+	written := make(chan struct{})
+	go func() {
+		defer close(written)
+		if err := labio.WriteDesign(pw, st.scheme.G); err != nil {
+			pw.CloseWithError(fmt.Errorf("remote: serialize design: %w", err))
+			return
+		}
+		pw.Close()
+	}()
+	// However the request ends, closing the reader unblocks the writer
+	// (its next Write fails), so the goroutine is always waited for.
+	defer func() {
+		pr.Close()
+		<-written
+	}()
 	ctx, cancel := context.WithTimeout(context.Background(), s.opts.requestTimeout())
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, s.base+schemePathPrefix+url.PathEscape(st.id), &buf)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPut, s.base+schemePathPrefix+url.PathEscape(st.id), pr)
 	if err != nil {
 		return err
 	}
